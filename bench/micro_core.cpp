@@ -572,7 +572,10 @@ BENCHMARK(BM_SystemCrashChurn);
 // google-benchmark re-invokes the function while calibrating, and a
 // 100k-peer PEX warm-up must not re-run each time. wire_bytes_per_query
 // and hops_per_query record the modeled network cost alongside the CPU
-// cost.
+// cost; allocs_per_query is the allocation guard. BM_LookupBackendDhtMiss
+// queries objects nobody published: in an engine run nearly every DHT
+// lookup is one (a request retries unowned objects), and the walk is
+// still priced in full. It must allocate nothing.
 
 /// Everyone online, everyone reachable: query cost with no fault noise.
 class BenchWorld final : public discovery::WorldView {
@@ -634,18 +637,26 @@ LookupFixture& lookup_fixture(discovery::BackendKind kind, std::size_t n) {
   return cache.emplace(key, std::move(f)).first->second;
 }
 
-void run_lookup_bench(benchmark::State& state, discovery::BackendKind kind) {
+/// `unpublished` queries objects past the published range (no records).
+void run_lookup_bench(benchmark::State& state, discovery::BackendKind kind,
+                      bool unpublished = false) {
   const auto n = static_cast<std::size_t>(state.range(0));
   LookupFixture& f = lookup_fixture(kind, n);
+  const auto first_object =
+      static_cast<std::uint32_t>(unpublished ? kLookupObjects : 0);
   std::uint64_t providers = 0;
   std::uint32_t q = 0;
+  const std::uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     const discovery::LookupQuery query{
-        ObjectId{q % static_cast<std::uint32_t>(kLookupObjects)},
+        ObjectId{first_object + q % static_cast<std::uint32_t>(kLookupObjects)},
         PeerId{(q * 7919u) % static_cast<std::uint32_t>(n)}, f.now};
     providers += f.backend->query(query).providers.size();
     ++q;
   }
+  const std::uint64_t allocs_after =
+      g_alloc_count.load(std::memory_order_relaxed);
   const discovery::DiscoveryCosts costs = f.backend->drain_costs();
   const auto iters =
       static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
@@ -656,6 +667,8 @@ void run_lookup_bench(benchmark::State& state, discovery::BackendKind kind) {
       benchmark::Counter(static_cast<double>(costs.hops) / iters);
   state.counters["providers_per_query"] =
       benchmark::Counter(static_cast<double>(providers) / iters);
+  state.counters["allocs_per_query"] = benchmark::Counter(
+      static_cast<double>(allocs_after - allocs_before) / iters);
 }
 
 void BM_LookupBackendOracle(benchmark::State& state) {
@@ -667,9 +680,13 @@ void BM_LookupBackendPex(benchmark::State& state) {
 void BM_LookupBackendDht(benchmark::State& state) {
   run_lookup_bench(state, discovery::BackendKind::kDht);
 }
+void BM_LookupBackendDhtMiss(benchmark::State& state) {
+  run_lookup_bench(state, discovery::BackendKind::kDht, true);
+}
 BENCHMARK(BM_LookupBackendOracle)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupBackendPex)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupBackendDht)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_LookupBackendDhtMiss)->Arg(10000)->Arg(100000);
 
 void BM_RequestTreeBuild(benchmark::State& state) {
   const GraphSnapshot& g =

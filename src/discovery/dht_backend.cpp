@@ -1,6 +1,7 @@
 #include "discovery/dht_backend.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "util/contracts.h"
@@ -48,6 +49,31 @@ DhtBackend::DhtBackend(const DiscoveryConfig& cfg, std::uint64_t seed,
             });
   sorted_keys_.resize(n);
   for (std::size_t i = 0; i < n; ++i) sorted_keys_[i] = key_[by_key_[i]];
+  if (n > 0) {
+    trie_.reserve(n - 1);
+    trie_root_ = build_trie(0, narrow_u32(n));
+  }
+}
+
+std::uint32_t DhtBackend::build_trie(std::uint32_t lo, std::uint32_t hi) {
+  const std::uint64_t diff = sorted_keys_[lo] ^ sorted_keys_[hi - 1];
+  if (diff == 0) return kLeaf;  // one key, or a run of colliding keys
+  const int bit = std::countl_zero(diff);
+  const std::uint64_t mask = std::uint64_t{1} << (63 - bit);
+  const auto first = sorted_keys_.begin() + lo;
+  const auto split = std::partition_point(
+      first, sorted_keys_.begin() + hi,
+      [mask](std::uint64_t key) { return (key & mask) == 0; });
+  const auto id = narrow_u32(trie_.size());
+  TrieNode node;
+  node.split = lo + narrow_u32(static_cast<std::size_t>(split - first));
+  node.bit = static_cast<std::uint8_t>(bit);
+  trie_.push_back(node);
+  const std::uint32_t left = build_trie(lo, node.split);
+  const std::uint32_t right = build_trie(node.split, hi);
+  trie_[id].child[0] = left;
+  trie_[id].child[1] = right;
+  return id;
 }
 
 std::uint64_t DhtBackend::object_key(ObjectId object) const {
@@ -55,61 +81,82 @@ std::uint64_t DhtBackend::object_key(ObjectId object) const {
                kGolden * (static_cast<std::uint64_t>(object.value) + 1));
 }
 
-std::vector<std::uint32_t> DhtBackend::store_set(std::uint64_t target) const {
-  const std::size_t n = sorted_keys_.size();
-  const std::size_t k = std::min(cfg_.dht_bucket_size, n);
-  if (k == 0) return {};
-  // Nodes sharing an L-bit key prefix with `target` are contiguous in
-  // key order, and everything inside a longer shared prefix is
-  // XOR-closer than anything outside it. Descend to the longest prefix
-  // whose range still holds >= k nodes, then rank that range by XOR
-  // distance (with random keys the range is O(k) long in expectation).
-  std::size_t lo = 0;
-  std::size_t hi = n;
-  for (int len = 1; len <= 64; ++len) {
-    const std::uint64_t mask = ~std::uint64_t{0} << (64 - len);
-    const std::uint64_t plo = target & mask;
-    const std::uint64_t phi = plo | ~mask;
-    const auto first = std::lower_bound(sorted_keys_.begin(),
-                                        sorted_keys_.end(), plo);
-    const auto last =
-        std::upper_bound(sorted_keys_.begin(), sorted_keys_.end(), phi);
-    const auto count = static_cast<std::size_t>(last - first);
-    if (count < k) break;
-    lo = static_cast<std::size_t>(first - sorted_keys_.begin());
-    hi = lo + count;
+DhtBackend::StoreBound DhtBackend::store_bound(std::uint64_t target) const {
+  // At every internal node each key in the child that agrees with the
+  // target on the crit bit is XOR-closer than every key in its sibling,
+  // so ranking by subtree sizes finds the k-th closest node in one
+  // root-to-leaf pass.
+  // Colliding keys tie on distance; by_key_ orders them by peer index.
+  std::size_t rank = store_size();
+  std::uint32_t lo = 0;
+  std::uint32_t hi = narrow_u32(key_.size());
+  for (std::uint32_t id = trie_root_; id != kLeaf;) {
+    const TrieNode& node = trie_[id];
+    std::uint32_t dir = (target >> (63 - node.bit)) & 1;
+    const std::size_t near = dir != 0 ? hi - node.split : node.split - lo;
+    if (rank > near) {
+      rank -= near;
+      dir ^= 1;
+    }
+    if (dir != 0) {
+      lo = node.split;
+    } else {
+      hi = node.split;
+    }
+    id = node.child[dir];
   }
-  std::vector<std::uint32_t> range(by_key_.begin() +
-                                       static_cast<std::ptrdiff_t>(lo),
-                                   by_key_.begin() +
-                                       static_cast<std::ptrdiff_t>(hi));
-  std::sort(range.begin(), range.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const std::uint64_t da = key_[a] ^ target;
-              const std::uint64_t db = key_[b] ^ target;
-              if (da != db) return da < db;
-              return a < b;
-            });
-  range.resize(k);
-  std::sort(range.begin(), range.end());  // ascending peer order
-  return range;
+  const std::uint32_t peer = by_key_[lo + rank - 1];
+  return StoreBound{key_[peer] ^ target, peer};
 }
 
 std::vector<PeerId> DhtBackend::store_peers(ObjectId object) const {
   std::vector<PeerId> out;
-  for (const std::uint32_t idx : store_set(object_key(object)))
-    out.push_back(PeerId{idx});
+  if (store_size() == 0) return out;
+  const std::uint64_t target = object_key(object);
+  const StoreBound store = store_bound(target);
+  for (std::uint32_t idx = 0; idx < key_.size(); ++idx)
+    if (in_store(idx, target, store)) out.push_back(PeerId{idx});
   return out;
 }
 
-std::uint32_t DhtBackend::walk(PeerId from, std::uint64_t target,
-                               const std::vector<std::uint32_t>& store) {
-  const auto in_store = [&](std::uint32_t idx) {
-    return std::binary_search(store.begin(), store.end(), idx);
-  };
-  std::uint32_t cur = from.value;
-  if (in_store(cur)) return 0;  // the requester hosts the records itself
+std::size_t DhtBackend::descend(std::uint64_t target,
+                                PrefixSpan* spans) const {
+  // Nodes sharing an L-bit prefix with the target are contiguous in key
+  // order and nest as L grows. A subtree whose keys share `bit` bits,
+  // all matched by the target, is that range for every L up to `bit`;
+  // the next bit picks the child. A subtree the target leaves earlier
+  // (or a leaf) is the range up to the shared length, and nothing is
+  // beyond it.
+  std::size_t count = 0;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = narrow_u32(key_.size());
+  std::uint32_t id = trie_root_;
+  while (true) {
+    const int shared = std::countl_zero(target ^ sorted_keys_[lo]);
+    if (id == kLeaf || shared < trie_[id].bit) {
+      spans[count++] = PrefixSpan{lo, hi, shared};
+      return count;
+    }
+    const TrieNode& node = trie_[id];
+    spans[count++] = PrefixSpan{lo, hi, node.bit};
+    const std::uint32_t dir = (target >> (63 - node.bit)) & 1;
+    if (dir != 0) {
+      lo = node.split;
+    } else {
+      hi = node.split;
+    }
+    id = node.child[dir];
+  }
+}
 
+std::uint32_t DhtBackend::walk(PeerId from, std::uint64_t target,
+                               StoreBound store) {
+  std::uint32_t cur = from.value;
+  if (in_store(cur, target, store)) return 0;  // the requester hosts them
+
+  std::array<PrefixSpan, kMaxSpans> spans{};
+  const std::size_t num_spans = descend(target, spans.data());
+  std::size_t span = 0;
   const std::size_t k = std::max<std::size_t>(cfg_.dht_bucket_size, 1);
   std::uint32_t hops = 0;
   int cpl = std::countl_zero(key_[cur] ^ target);
@@ -119,21 +166,17 @@ std::uint32_t DhtBackend::walk(PeerId from, std::uint64_t target,
     // The next bucket: nodes sharing one more prefix bit with the
     // target than `cur` does. Contiguous in key order; scan it in key
     // order and keep the first k live candidates (offline/unreachable
-    // nodes punch holes that the scan skips past).
-    const std::uint64_t mask = ~std::uint64_t{0} << (64 - (cpl + 1));
-    const std::uint64_t plo = target & mask;
-    const std::uint64_t phi = plo | ~mask;
-    const auto first = std::lower_bound(sorted_keys_.begin(),
-                                        sorted_keys_.end(), plo);
-    const auto last =
-        std::upper_bound(sorted_keys_.begin(), sorted_keys_.end(), phi);
+    // nodes punch holes that the scan skips past). `cpl` only grows, so
+    // the span cursor only moves forward.
+    while (span < num_spans && spans[span].cap < cpl + 1) ++span;
+    if (span == num_spans) return kWalkFailed;  // empty bucket: a hole
     std::uint32_t best = 0;
     std::uint64_t best_dist = ~std::uint64_t{0};
     bool found = false;
     std::size_t live = 0;
-    for (auto it = first; it != last && live < k; ++it) {
-      const std::uint32_t idx =
-          by_key_[static_cast<std::size_t>(it - sorted_keys_.begin())];
+    for (std::uint32_t pos = spans[span].lo;
+         pos < spans[span].hi && live < k; ++pos) {
+      const std::uint32_t idx = by_key_[pos];
       const PeerId node{idx};
       if (!world_->peer_online(node)) continue;
       if (!world_->peers_reachable(from, node)) continue;
@@ -151,31 +194,31 @@ std::uint32_t DhtBackend::walk(PeerId from, std::uint64_t target,
     costs_.wire_bytes +=
         static_cast<std::uint64_t>(cfg_.dht_alpha) * kMessageBytes;
     cur = best;
-    if (in_store(cur)) return hops;
+    if (in_store(cur, target, store)) return hops;
     cpl = std::countl_zero(key_[cur] ^ target);  // strictly grew: no cycles
   }
 }
 
 void DhtBackend::add_owner(ObjectId object, PeerId peer, SimTime now) {
+  const std::size_t replicas = store_size();
+  if (replicas == 0) return;
   const std::uint64_t target = object_key(object);
-  const std::vector<std::uint32_t> store = store_set(target);
-  if (store.empty()) return;
   // The publish walk is charged even when routing fails mid-walk: the
   // record still lands (Kademlia republish repairs placement off-path),
   // so discoverability is gated at query time, where it belongs.
-  const std::uint32_t hops = walk(peer, target, store);
+  const std::uint32_t hops = walk(peer, target, store_bound(target));
   if (hops != kWalkFailed) costs_.hops += hops;
-  costs_.wire_bytes +=
-      static_cast<std::uint64_t>(store.size()) * kRecordBytes;
+  costs_.wire_bytes += static_cast<std::uint64_t>(replicas) * kRecordBytes;
 
   std::vector<Record>& records = store_[object];
-  for (Record& r : records) {
-    if (r.provider == peer) {
-      r.origin = now;  // refresh, don't duplicate
-      return;
-    }
+  const auto pos = std::lower_bound(
+      records.begin(), records.end(), peer,
+      [](const Record& r, PeerId p) { return r.provider < p; });
+  if (pos != records.end() && pos->provider == peer) {
+    pos->origin = now;  // refresh, don't duplicate
+    return;
   }
-  records.push_back(Record{peer, now});
+  records.insert(pos, Record{peer, now});
   std::vector<ObjectId>& pub = published_[peer.value];
   if (std::find(pub.begin(), pub.end(), object) == pub.end())
     pub.push_back(object);
@@ -212,49 +255,36 @@ void DhtBackend::remove_peer(PeerId peer, SimTime now) {
 
 LookupResult DhtBackend::query(const LookupQuery& q) {
   LookupResult r;
+  if (store_size() == 0) return r;
   const std::uint64_t target = object_key(q.object);
-  const std::vector<std::uint32_t> store = store_set(target);
-  if (store.empty()) return r;
-  const std::uint32_t hops = walk(q.requester, target, store);
+  const std::uint32_t hops = walk(q.requester, target, store_bound(target));
   if (hops == kWalkFailed) return r;  // miss: budget cut or routing hole
   r.hops = hops;
   costs_.hops += hops;
+  const std::uint64_t route_bytes = static_cast<std::uint64_t>(hops) *
+                                    static_cast<std::uint64_t>(cfg_.dht_alpha) *
+                                    kMessageBytes;
 
   const auto it = store_.find(q.object);
   if (it == store_.end()) {
-    r.wire_bytes = static_cast<std::uint64_t>(hops) *
-                   static_cast<std::uint64_t>(cfg_.dht_alpha) * kMessageBytes;
+    r.wire_bytes = route_bytes;
     return r;
   }
+  // Records are kept in ascending provider order: one pass answers.
+  r.providers.reserve(it->second.size());
+  r.ages.reserve(it->second.size());
   for (const Record& rec : it->second) {
     if (rec.provider == q.requester) continue;
     r.providers.push_back(rec.provider);
     r.ages.push_back(q.now - rec.origin);
   }
-  // Records are unique per provider; index-sort into ascending peer
-  // order with ages kept parallel.
-  std::vector<std::size_t> order(r.providers.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return r.providers[a] < r.providers[b];
-  });
-  LookupResult sorted;
-  sorted.hops = hops;
-  sorted.providers.reserve(order.size());
-  sorted.ages.reserve(order.size());
-  for (const std::size_t i : order) {
-    sorted.providers.push_back(r.providers[i]);
-    sorted.ages.push_back(r.ages[i]);
-  }
   if (hops > 0) {
-    sorted.wire_bytes =
-        static_cast<std::uint64_t>(hops) *
-            static_cast<std::uint64_t>(cfg_.dht_alpha) * kMessageBytes +
-        static_cast<std::uint64_t>(sorted.providers.size()) * kRecordBytes;
-    costs_.wire_bytes +=
-        static_cast<std::uint64_t>(sorted.providers.size()) * kRecordBytes;
+    const std::uint64_t record_bytes =
+        static_cast<std::uint64_t>(r.providers.size()) * kRecordBytes;
+    r.wire_bytes = route_bytes + record_bytes;
+    costs_.wire_bytes += record_bytes;
   }
-  return sorted;
+  return r;
 }
 
 }  // namespace p2pex::discovery

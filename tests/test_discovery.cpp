@@ -4,14 +4,19 @@
 // LookupService reverse index, oracle bit-exactness against the old
 // query path, PEX gossip semantics (spread, TTL, digest bounds,
 // staleness, determinism), DHT routing (store sets, publish/query
-// walks, holes, budgets, unpublish) and the oracle-backed audit
+// walks, holes, budgets, unpublish, and the trie against a brute-force
+// reference) and the oracle-backed audit
 // decorator — plus system-level runs per backend and the
 // backend-equivalence sweep across thread counts and tree modes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -392,6 +397,195 @@ TEST(DhtBackend, HopBudgetCutsWalks) {
     }
   }
   FAIL() << "no multi-hop (object, requester) pair in a 256-peer world";
+}
+
+// --- DhtBackend against a brute-force reference ---
+//
+// The backend answers from a crit-bit trie over its node keys; the
+// reference below knows nothing of it. It ranks every node by
+// (key ^ target, peer index) for the store set, and each walk hop scans
+// the full key order for the nodes sharing one more prefix bit with the
+// target — the definition the trie must reproduce exactly, including
+// hop counts and every wire byte.
+
+class NaiveDht {
+ public:
+  NaiveDht(const DhtBackend& dht, const WorldView& world,
+           const DiscoveryConfig& cfg)
+      : dht_(dht), world_(world), cfg_(cfg) {
+    for (std::uint32_t i = 0; i < world.num_peers(); ++i) by_key_.push_back(i);
+    std::sort(by_key_.begin(), by_key_.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const std::uint64_t ka = key(a);
+                const std::uint64_t kb = key(b);
+                return ka != kb ? ka < kb : a < b;
+              });
+  }
+
+  /// The k smallest nodes by (key ^ target, index), ascending index.
+  [[nodiscard]] std::vector<PeerId> store(ObjectId object) const {
+    const std::uint64_t target = dht_.object_key(object);
+    std::vector<std::uint32_t> all = by_key_;
+    std::sort(all.begin(), all.end(), [&](std::uint32_t a, std::uint32_t b) {
+      const std::uint64_t da = key(a) ^ target;
+      const std::uint64_t db = key(b) ^ target;
+      return da != db ? da < db : a < b;
+    });
+    all.resize(std::min(cfg_.dht_bucket_size, all.size()));
+    std::sort(all.begin(), all.end());
+    std::vector<PeerId> out;
+    for (const std::uint32_t i : all) out.push_back(PeerId{i});
+    return out;
+  }
+
+  struct Walk {
+    std::uint32_t hops = 0;  ///< hops taken, charged even on a failure
+    bool reached = false;
+  };
+
+  /// `members` is store(object).
+  [[nodiscard]] Walk walk(PeerId from, ObjectId object,
+                          const std::vector<PeerId>& members) const {
+    const std::uint64_t target = dht_.object_key(object);
+    const auto in_store = [&](std::uint32_t idx) {
+      return std::find(members.begin(), members.end(), PeerId{idx}) !=
+             members.end();
+    };
+    const std::size_t k = std::max<std::size_t>(cfg_.dht_bucket_size, 1);
+    Walk w;
+    std::uint32_t cur = from.value;
+    while (!in_store(cur)) {
+      const int cpl = std::countl_zero(key(cur) ^ target);
+      if (w.hops >= cfg_.dht_hop_budget || cpl >= 64) return w;
+      std::optional<std::uint32_t> best;
+      std::size_t live = 0;
+      for (const std::uint32_t idx : by_key_) {
+        if (live == k) break;
+        if (std::countl_zero(key(idx) ^ target) <= cpl) continue;
+        if (!world_.peer_online(PeerId{idx}) ||
+            !world_.peers_reachable(from, PeerId{idx}))
+          continue;
+        ++live;
+        const std::uint64_t d = key(idx) ^ target;
+        if (!best || d < (key(*best) ^ target) ||
+            (d == (key(*best) ^ target) && idx < *best))
+          best = idx;
+      }
+      if (!best) return w;
+      ++w.hops;
+      cur = *best;
+    }
+    w.reached = true;
+    return w;
+  }
+
+  [[nodiscard]] std::uint64_t hop_bytes(std::uint32_t hops) const {
+    return std::uint64_t{hops} * cfg_.dht_alpha * DhtBackend::kMessageBytes;
+  }
+
+ private:
+  [[nodiscard]] std::uint64_t key(std::uint32_t idx) const {
+    return dht_.node_key(PeerId{idx});
+  }
+
+  const DhtBackend& dht_;
+  const WorldView& world_;
+  DiscoveryConfig cfg_;
+  std::vector<std::uint32_t> by_key_;
+};
+
+enum class DhtWorldMode { kAllOnline, kHoles, kSplit, kHolesSplitBudget1 };
+
+/// Publishes to half the objects and queries all of them from a spread
+/// of requesters, checking every answer and every drained cost against
+/// NaiveDht.
+void check_against_reference(std::uint64_t seed, std::size_t n,
+                             std::size_t bucket, DhtWorldMode mode) {
+  DiscoveryConfig cfg = dht_config();
+  cfg.dht_bucket_size = bucket;
+  TestWorld world(n);
+  if (mode != DhtWorldMode::kAllOnline && mode != DhtWorldMode::kSplit)
+    for (std::uint32_t p = 0; p < n; ++p)
+      if ((p * 2654435761u + seed) % 5 == 0) world.set_online(PeerId{p}, false);
+  if (mode == DhtWorldMode::kSplit || mode == DhtWorldMode::kHolesSplitBudget1)
+    world.set_split(static_cast<std::uint32_t>(n / 2));
+  if (mode == DhtWorldMode::kHolesSplitBudget1) cfg.dht_hop_budget = 1;
+  DhtBackend dht(cfg, seed, world);
+  const NaiveDht naive(dht, world, cfg);
+  const std::uint64_t replicas = std::min(bucket, n);
+
+  constexpr std::uint32_t kObjects = 16;
+  std::vector<std::vector<PeerId>> stores;
+  for (std::uint32_t o = 0; o < kObjects; ++o)
+    stores.push_back(naive.store(ObjectId{o}));
+  std::map<std::uint32_t, std::map<std::uint32_t, SimTime>> published;
+  SimTime now = 1.0;
+  for (std::uint32_t o = 0; o < kObjects; o += 2) {
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      const auto pick = o * 31u + r * 17u + static_cast<std::uint32_t>(seed);
+      const PeerId owner{pick % static_cast<std::uint32_t>(n)};
+      dht.add_owner(ObjectId{o}, owner, now);
+      published[o][owner.value] = now;  // a repeat owner refreshes
+      const NaiveDht::Walk w = naive.walk(owner, ObjectId{o}, stores[o]);
+      const DiscoveryCosts c = dht.drain_costs();
+      ASSERT_EQ(c.hops, w.reached ? w.hops : 0u) << "publish o=" << o;
+      ASSERT_EQ(c.wire_bytes,
+                naive.hop_bytes(w.hops) + replicas * DhtBackend::kRecordBytes)
+          << "publish o=" << o;
+      now += 1.0;
+    }
+  }
+
+  const auto stride = static_cast<std::uint32_t>(n <= 64 ? 1 : n / 40);
+  for (std::uint32_t o = 0; o < kObjects; ++o) {
+    ASSERT_EQ(dht.store_peers(ObjectId{o}), stores[o]) << "object " << o;
+    for (std::uint32_t p = 0; p < n; p += stride) {
+      const LookupResult r = dht.query({ObjectId{o}, PeerId{p}, now});
+      const DiscoveryCosts c = dht.drain_costs();
+      const NaiveDht::Walk w = naive.walk(PeerId{p}, ObjectId{o}, stores[o]);
+      SCOPED_TRACE(::testing::Message()
+                   << "object " << o << " requester " << p);
+      std::vector<PeerId> providers;
+      std::vector<SimTime> ages;
+      if (w.reached && published.count(o) != 0) {
+        for (const auto& [owner, t] : published[o]) {
+          if (owner == p) continue;
+          providers.push_back(PeerId{owner});
+          ages.push_back(now - t);
+        }
+      }
+      ASSERT_EQ(r.providers, providers);
+      ASSERT_EQ(r.ages, ages);
+      ASSERT_EQ(r.hops, w.reached ? w.hops : 0u);
+      const std::uint64_t record_bytes =
+          w.reached && w.hops > 0 ? providers.size() * DhtBackend::kRecordBytes
+                                  : 0;
+      ASSERT_EQ(r.wire_bytes,
+                w.reached ? naive.hop_bytes(w.hops) + record_bytes : 0u);
+      ASSERT_EQ(c.hops, r.hops);
+      ASSERT_EQ(c.wire_bytes, naive.hop_bytes(w.hops) + record_bytes);
+    }
+  }
+}
+
+TEST(DhtBackend, TrieMatchesBruteForceReference) {
+  for (const std::size_t bucket : {1u, 8u, 20u}) {
+    std::set<std::size_t> sizes = {1, 2, bucket + 1, bucket, 64, 200, 1000};
+    if (bucket > 1) sizes.insert(bucket - 1);
+    for (const std::size_t n : sizes) {
+      for (const std::uint64_t seed : {1u, 5u, 77u}) {
+        for (const DhtWorldMode mode :
+             {DhtWorldMode::kAllOnline, DhtWorldMode::kHoles,
+              DhtWorldMode::kSplit, DhtWorldMode::kHolesSplitBudget1}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "k=" << bucket << " n=" << n << " seed=" << seed
+                       << " mode=" << static_cast<int>(mode));
+          check_against_reference(seed, n, bucket, mode);
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 // --- AuditBackend ---
