@@ -194,20 +194,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(r.snapshot_patches),
         static_cast<unsigned long long>(r.dirty_rows_patched),
         r.snapshot_build_seconds * 1e3);
-    const SpeculationStats& sp = system.speculation_stats();
-    const double consumed_pct =
-        sp.speculated == 0 ? 0.0
-                           : 100.0 * static_cast<double>(sp.consumed) /
-                                 static_cast<double>(sp.speculated);
-    std::printf(
-        "parallel: %zu threads, %llu speculation passes "
-        "(%llu searches: %llu consumed = %.1f%%, %llu stale, %llu unused)\n",
-        system.threads(),
-        static_cast<unsigned long long>(sp.passes),
-        static_cast<unsigned long long>(sp.speculated),
-        static_cast<unsigned long long>(sp.consumed), consumed_pct,
-        static_cast<unsigned long long>(sp.stale),
-        static_cast<unsigned long long>(sp.unused));
+    std::printf("parallel: %zu threads\n", system.threads());
   }
   std::printf("\n%s", format_report(system.metrics(), c).c_str());
 

@@ -112,13 +112,13 @@ struct SimConfig {
   /// Fraction of sim_duration treated as warmup (excluded from metrics).
   double warmup_fraction = 0.2;
   std::uint64_t seed = 1;
-  /// Worker threads for the parallel engine's read-only phases (ring
-  /// searches over the immutable GraphSnapshot); 1 = fully serial. This
-  /// is an execution-strategy knob, not an experiment parameter: the
-  /// engine's effect-queue merge guarantees bit-identical results for
-  /// every thread count (the replay CI matrix and the shard-invariance
-  /// fuzz suite enforce it), so it never changes what a (seed, config)
-  /// pair computes — only how fast.
+  /// Worker threads for the read-only population sweeps (peer scans and
+  /// Bloom summary rebuilds, pooled at >= 1,024 peers); 1 = fully
+  /// serial. This is an execution-strategy knob, not an experiment
+  /// parameter: per-shard results merge in shard order, so a (seed,
+  /// config) pair computes bit-identical results at every thread count
+  /// (the replay CI matrix and the thread-invariance tests enforce it)
+  /// — only the speed changes.
   std::size_t threads = 1;
   /// Hard cap on `threads` (and the P2PEX_THREADS override).
   static constexpr std::size_t kMaxThreads = 256;

@@ -49,17 +49,9 @@ void ExchangeFinder::set_policy(ExchangePolicy policy,
   max_ring_ = policy == ExchangePolicy::kPairwiseOnly ? 2 : max_ring_size;
 }
 
-void ExchangeFinder::sync_with(const ExchangeFinder& master) {
-  policy_ = master.policy_;
-  max_ring_ = master.max_ring_;
-  mode_ = master.mode_;
-  hop_budget_ = master.hop_budget_;
-}
-
 std::vector<RingProposal> ExchangeFinder::find(const GraphSnapshot& view,
                                                PeerId root,
                                                std::size_t max_candidates) {
-  read_set_.clear();
   if (policy_ == ExchangePolicy::kNoExchange || max_candidates == 0) return {};
   ++stats_.searches;
   auto out = mode_ == TreeMode::kFullTree
@@ -153,13 +145,7 @@ std::vector<RingProposal> ExchangeFinder::find_full(
         if (auto proposal = make_proposal(view, path_, closures[ci].object)) {
           out.push_back(std::move(*proposal));
           ++stats_.discovered;
-          if (shortest_first && out.size() >= max_candidates) {
-            // Read set: every discovered node (a superset of the expanded
-            // rows this truncated search actually consumed).
-            if (record_read_sets_)
-              read_set_.assign(frontier_.begin(), frontier_.end());
-            return out;
-          }
+          if (shortest_first && out.size() >= max_candidates) return out;
         }
       }
     }
@@ -172,11 +158,6 @@ std::vector<RingProposal> ExchangeFinder::find_full(
       frontier_.push_back(child);
     }
   }
-
-  // Read set: the BFS visit set — the root plus every node whose
-  // requester row was (or could have been) expanded. The search result
-  // is a pure function of these snapshot rows.
-  if (record_read_sets_) read_set_.assign(frontier_.begin(), frontier_.end());
 
   if (!shortest_first) {
     // kLongestFirst: prefer the deepest rings; stable to keep BFS order
@@ -338,9 +319,7 @@ bool ExchangeFinder::reconstruct_hops(const GraphSnapshot& view, PeerId node,
     return false;
   }
   --budget;
-  if (record_read_sets_)
-    read_set_.push_back(node);  // this node's requester row is read below
-  const std::vector<BloomTreeSummary>& sums = active_summaries();
+  const std::vector<BloomTreeSummary>& sums = summaries_;
   for (const PeerId child : view.requesters_of(node)) {
     if (std::find(path_.begin(), path_.end(), child) != path_.end()) continue;
     if (remaining == 1) {
@@ -369,11 +348,9 @@ bool ExchangeFinder::reconstruct_hops(const GraphSnapshot& view, PeerId node,
 std::vector<RingProposal> ExchangeFinder::find_bloom(
     const GraphSnapshot& view, PeerId root, std::size_t max_candidates) {
   std::vector<RingProposal> out;
-  const std::vector<BloomTreeSummary>& sums = active_summaries();
+  const std::vector<BloomTreeSummary>& sums = summaries_;
   if (sums.size() != view.num_peers()) return out;  // not built yet
 
-  if (record_read_sets_)
-    read_set_.push_back(root);  // want rows + closing-link lookups
   hits_.clear();
   const std::size_t max_level = max_ring_ >= 2 ? max_ring_ - 1 : 1;
   const auto& mine = sums[root.value];

@@ -72,8 +72,7 @@ struct FinderStats {
   friend constexpr bool operator==(const FinderStats&,
                                    const FinderStats&) = default;
 
-  /// Field-wise accumulation — how a speculated search's delta is folded
-  /// into the master finder at merge time (see System::ring_candidates).
+  /// Field-wise accumulation (sums per-search deltas).
   constexpr FinderStats& operator+=(const FinderStats& d) {
     searches += d.searches;
     discovered += d.discovered;
@@ -162,45 +161,6 @@ class ExchangeFinder {
   /// per-level summaries match a grown cap.
   void set_policy(ExchangePolicy policy, std::size_t max_ring_size);
 
-  // --- parallel-engine hooks (per-worker finder instances) ---
-
-  /// Matches this finder's search configuration (policy, ring cap, tree
-  /// mode, hop budget) to `master`'s. Scratch and stats survive; worker
-  /// finders call this before every speculation pass so mid-run
-  /// policy/mode flips propagate.
-  void sync_with(const ExchangeFinder& master);
-
-  /// Serves Bloom-mode searches from `master`'s summaries instead of
-  /// this finder's own (which stay empty on workers). The borrow is a
-  /// read-only alias: it is only safe while `master` is not rebuilding
-  /// or refreshing — the System guarantees that during a parallel phase
-  /// (summaries refresh on the serial sweep, never mid-drain).
-  void borrow_summaries(const ExchangeFinder& master) {
-    borrowed_summaries_ = &master.summaries_;
-  }
-
-  /// Enables read-set recording (off by default: serial and merge-phase
-  /// live searches never consume it, and the full-mode capture is an
-  /// O(visit set) copy per search). The System enables it on worker
-  /// finders only.
-  void set_record_read_sets(bool on) { record_read_sets_ = on; }
-
-  /// Peers whose snapshot rows the last find() call read — the root
-  /// plus every node whose requester row was expanded (full mode: the
-  /// BFS visit set; Bloom mode: every node a reconstruction walk
-  /// entered). A search's result is a pure function of these rows (and,
-  /// in Bloom mode, the summaries, which are fixed between refreshes) —
-  /// the speculation-validity contract the parallel engine checks
-  /// against merge-time row touches. Only populated while
-  /// set_record_read_sets(true) is in effect.
-  [[nodiscard]] std::span<const PeerId> last_read_set() const {
-    return read_set_;
-  }
-
-  /// Folds a speculated search's stat delta into this finder (merge
-  /// phase, coordinator only).
-  void add_stats(const FinderStats& delta) { stats_ += delta; }
-
   [[nodiscard]] const FinderStats& stats() const { return stats_; }
   [[nodiscard]] ExchangePolicy policy() const { return policy_; }
   [[nodiscard]] std::size_t max_ring_size() const { return max_ring_; }
@@ -234,24 +194,12 @@ class ExchangeFinder {
   /// Grows the BFS scratch to cover `n` peers.
   void ensure_scratch(std::size_t n);
 
-  /// The summaries searches consult: borrowed (worker finders) or own.
-  [[nodiscard]] const std::vector<BloomTreeSummary>& active_summaries() const {
-    return borrowed_summaries_ != nullptr ? *borrowed_summaries_ : summaries_;
-  }
-
   ExchangePolicy policy_;
   std::size_t max_ring_;
   TreeMode mode_;
   std::size_t hop_budget_;
   FinderStats stats_;
   std::vector<BloomTreeSummary> summaries_;  ///< per peer, kBloom mode
-  /// Master summaries a worker finder searches against (see
-  /// borrow_summaries); null on the master itself.
-  const std::vector<BloomTreeSummary>* borrowed_summaries_ = nullptr;
-  /// Rows the last search read (see last_read_set()); captured only
-  /// when record_read_sets_ is on (worker finders).
-  bool record_read_sets_ = false;
-  std::vector<PeerId> read_set_;
 
   // --- incremental summary maintenance state (kBloom mode) ---
   // Geometry of the last build; a mismatch forces a full rebuild.

@@ -53,11 +53,10 @@ std::vector<PeerId> LookupService::query(ObjectId object, PeerId except,
                                          double fraction, Rng& rng) const {
   std::vector<PeerId> all = owners(object, except);
   if (fraction >= 1.0) return all;
-  std::vector<PeerId> out;
-  out.reserve(all.size());
-  for (PeerId p : all)
-    if (rng.chance(fraction)) out.push_back(p);
-  return out;
+  // In place: one draw per owner, in ascending order (remove_if visits
+  // each element once, front to back).
+  std::erase_if(all, [&](PeerId) { return !rng.chance(fraction); });
+  return all;
 }
 
 std::size_t LookupService::owner_count(ObjectId object) const {

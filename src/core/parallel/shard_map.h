@@ -1,12 +1,12 @@
-// Deterministic work partitioning for the parallel engine.
+// Deterministic work partitioning for the parallel sweeps.
 //
 // A ShardMap splits an ordered worklist of `items` entries into `shards`
 // contiguous ranges, balanced to within one item (the first items %
 // shards ranges get the extra element). Because ranges are contiguous
 // over an already-ordered worklist, visiting shard 0..K-1 and, within a
 // shard, its items in sequence order reproduces the original worklist
-// order exactly — the property the effect-queue merge relies on for
-// shard-count-invariant results.
+// order exactly — the property the per-shard result concatenation
+// relies on for shard-count-invariant results.
 #pragma once
 
 #include <cstddef>

@@ -1,4 +1,4 @@
-// Persistent worker pool for the parallel simulation phases.
+// Persistent worker pool for the parallel sweeps.
 //
 // A WorkerPool owns `threads - 1` helper threads (none when threads
 // <= 1); run(shards, fn) executes fn(s) for every shard index in
@@ -7,11 +7,11 @@
 // may execute any shard), which balances skewed shard costs without
 // affecting results: parallel phases write their output into per-shard
 // slots keyed by the shard *index*, so scheduling order is invisible to
-// the deterministic shard-then-sequence merge that follows.
+// the deterministic shard-order concatenation that follows.
 //
 // All coordination state is guarded by one mutex (claim granularity is
 // a whole shard, so contention is negligible), giving the
-// happens-before edges ThreadSanitizer and the effect-queue merge both
+// happens-before edges ThreadSanitizer and the shard-order merge both
 // need: everything a shard wrote is visible to the caller when run()
 // returns. The first exception thrown by any shard is captured and
 // rethrown from run() after the phase drains.

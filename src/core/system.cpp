@@ -145,8 +145,6 @@ void System::build_peers(const PopulationPlan& plan) {
   bloom_dirty_stamp_.assign(n, 0);
   watchers_.assign(n, {});
   snap_seen_.assign(n, 0);
-  last_touch_seq_.assign(n, 0);
-  spec_slot_.assign(n, 0);
 
   if (plan.empty()) {
     // Homogeneous Table II population: exactly round(n * fraction)

@@ -22,7 +22,6 @@
 #include "core/entities.h"
 #include "core/exchange_finder.h"
 #include "core/lookup.h"
-#include "core/parallel/effect_queue.h"
 #include "core/parallel/worker_pool.h"
 #include "core/population.h"
 #include "core/provider_arena.h"
@@ -96,17 +95,10 @@ struct MemoryFootprint {
   }
 };
 
-/// Parallel-engine telemetry. Deliberately *not* part of SystemCounters:
-/// these figures describe how a run was executed (they vary with the
-/// thread count and the speculation batching), while SystemCounters
-/// describes what the run computed — which the determinism contract
-/// pins bit-identical across thread counts.
+/// Always zero; kept only because perfbench/src/main.cpp reads both fields.
 struct SpeculationStats {
-  std::uint64_t passes = 0;     ///< parallel speculation phases run
-  std::uint64_t speculated = 0; ///< searches executed on workers
-  std::uint64_t consumed = 0;   ///< speculations the merge used as-is
-  std::uint64_t stale = 0;      ///< invalidated by merge-time row touches
-  std::uint64_t unused = 0;     ///< never requested before the drain ended
+  std::uint64_t speculated = 0;
+  std::uint64_t consumed = 0;
 };
 
 /// One complete simulation instance.
@@ -143,12 +135,10 @@ class System final : private discovery::WorldView {
   /// serial). Execution strategy only — results are identical at any
   /// value.
   [[nodiscard]] std::size_t threads() const { return threads_; }
-  [[nodiscard]] const SpeculationStats& speculation_stats() const {
-    return spec_stats_;
-  }
+  [[nodiscard]] SpeculationStats speculation_stats() const { return {}; }
   /// The observability registry, with every scalar (SystemCounters,
-  /// FinderStats, SpeculationStats, run-level collector gauges)
-  /// re-published from its source-of-truth struct on each call.
+  /// FinderStats, run-level collector gauges) re-published from its
+  /// source-of-truth struct on each call.
   /// Histograms are registry-owned and always current. Deterministic-
   /// domain contents are bit-identical across thread counts; the
   /// timing domain is not (see obs::Domain). Implemented in
@@ -426,48 +416,11 @@ class System final : private discovery::WorldView {
   void fill_free_slots(PeerId provider);
   IrqEntry* pick_non_exchange(Peer& provider);
   /// Whether `p` could start one more upload right now: a free slot, or
-  /// (with preemption on) a reclaimable non-exchange upload. The serial
-  /// search guard and the speculation-phase trigger share this — patch
-  /// counter parity across thread counts depends on them agreeing.
+  /// (with preemption on) a reclaimable non-exchange upload.
   [[nodiscard]] bool upload_capacity_available(const Peer& p) const;
-
-  // --- parallel engine (system_parallel.cpp) ---
-  //
-  // With threads > 1, drain_dirty() front-loads a read-only *speculation
-  // phase*: the dirty peers that could search this drain are sharded
-  // across the worker pool, each worker runs the ring searches against
-  // the immutable GraphSnapshot with its own finder (scratch + stats),
-  // and the results land in per-shard effect queues merged in shard-
-  // then-sequence order. The serial merge (the unchanged drain loop)
-  // then consumes a speculation in place of a live search *only if its
-  // recorded read set is untouched since the speculation snapshot* —
-  // in which case a live search would have returned bit-identical
-  // proposals and stats — and falls back to a live search otherwise.
-  // Every mutation (ring formation, counters, RNG — drains draw none)
-  // stays on the coordinator, so results are bit-identical for every
-  // thread count, including 1.
-
-  /// One speculated ring search (the effect-queue payload).
-  struct SearchSpeculation {
-    PeerId root;
-    std::vector<RingProposal> proposals;
-    FinderStats delta;              ///< finder-stat increments of the search
-    std::vector<PeerId> read_set;   ///< rows the search depended on
-    bool consumed = false;
-  };
-
-  /// Runs the speculation phase for the current dirty set (no-op when
-  /// it cannot pay off: serial mode, no searchable candidate, or a
-  /// batch too small to amortize the phase).
-  void speculate_searches();
-  /// The merge-phase search: returns the valid unconsumed speculation
-  /// for `root` if one exists, else runs a live search. Reads
-  /// graph_snapshot() either way so patch accounting matches serial
-  /// execution exactly.
+  /// Ring search rooted at `root` against the current snapshot (records
+  /// the search's nodes visited in core.search_hops).
   std::vector<RingProposal> ring_candidates(PeerId root);
-  [[nodiscard]] bool speculation_valid(const SearchSpeculation& s) const;
-  void clear_speculations();
-  void sync_worker_finders();
 
   // --- maintenance ---
   void eviction_sweep();
@@ -508,7 +461,6 @@ class System final : private discovery::WorldView {
   void touch_graph() {
     graph_all_dirty_ = true;
     bloom_all_dirty_ = true;
-    all_touch_seq_ = ++touch_seq_;  // invalidates every live speculation
   }
   /// Marks every root whose closure/want rows depend on `provider`
   /// (roots with a pending download that discovered it) dirty. Call
@@ -621,29 +573,11 @@ class System final : private discovery::WorldView {
   bool finished_ = false;
   std::size_t num_sharing_ = 0;
 
-  // --- parallel engine state ---
+  // --- parallel sweep state ---
   std::size_t threads_ = 1;  ///< cfg_.effective_threads(), fixed at build
-  /// Pool + per-worker finders, created on the first speculation pass
-  /// (serial runs and runs that never speculate pay nothing).
+  /// Created on the first pooled sweep (serial runs and populations
+  /// under kParallelSweepMinPeers pay nothing).
   std::unique_ptr<parallel::WorkerPool> pool_;
-  std::vector<std::unique_ptr<ExchangeFinder>> worker_finders_;
-  parallel::EffectQueues<SearchSpeculation> shard_effects_;
-  /// Ascending searchable-candidate worklist of the current drain.
-  std::vector<PeerId> spec_worklist_;
-  /// peer -> 1 + index into spec_index_ (0 = no speculation); entries
-  /// are reset by clear_speculations() at drain end.
-  std::vector<std::uint32_t> spec_slot_;
-  std::vector<SearchSpeculation*> spec_index_;
-  /// Monotonic row-touch recency: every touch_graph bumps touch_seq_
-  /// and records it per peer (or in all_touch_seq_ for argless
-  /// invalidations). A speculation taken at sequence S is valid while
-  /// no row in its read set — and no whole-population touch — is newer
-  /// than S.
-  std::uint64_t touch_seq_ = 0;
-  std::uint64_t all_touch_seq_ = 0;
-  std::uint64_t spec_seq_ = 0;  ///< touch_seq_ at the speculation snapshot
-  std::vector<std::uint64_t> last_touch_seq_;
-  SpeculationStats spec_stats_;
   /// scan_peers scratch: per-shard match lists + the concatenated result.
   std::vector<std::vector<PeerId>> scan_shards_;
   std::vector<PeerId> scan_out_;

@@ -2,17 +2,17 @@
 // publication behind System::metrics_registry().
 //
 // The source of truth for every scalar stays in its existing struct
-// (SystemCounters, FinderStats, SpeculationStats, MetricsCollector) —
-// hot paths keep bumping plain uint64 fields and pay nothing for the
-// registry. metrics_registry() re-publishes those scalars on each call;
-// histograms have no struct equivalent and are recorded live through
-// the handles registered here.
+// (SystemCounters, FinderStats, MetricsCollector) — hot paths keep
+// bumping plain uint64 fields and pay nothing for the registry.
+// metrics_registry() re-publishes those scalars on each call; histograms
+// have no struct equivalent and are recorded live through the handles
+// registered here.
 //
 // Domain placement is the contract (see obs/metrics_registry.h):
 // everything under "core.", "finder." and "run." is replay-invariant
 // and lands in the deterministic domain the replay CI byte-compares;
-// "exec." and "time." describe *how* the run executed (thread counts,
-// speculation traffic, wall clock) and land in the timing domain.
+// "exec." and "time." describe *how* the run executed (thread count,
+// wall clock) and land in the timing domain.
 #include "core/system.h"
 
 #include "obs/metrics_registry.h"
@@ -100,11 +100,6 @@ const obs::MetricsRegistry& System::metrics_registry() const {
   // Execution-strategy + wall-clock telemetry: varies with the thread
   // count and machine, never part of the replay contract.
   tim("exec.threads", threads_);
-  tim("exec.speculation_passes", spec_stats_.passes);
-  tim("exec.speculation_speculated", spec_stats_.speculated);
-  tim("exec.speculation_consumed", spec_stats_.consumed);
-  tim("exec.speculation_stale", spec_stats_.stale);
-  tim("exec.speculation_unused", spec_stats_.unused);
   tim("time.snapshot_build_ns", c.snapshot_build_ns);
 
   return registry_;

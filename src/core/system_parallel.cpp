@@ -1,172 +1,11 @@
-// Parallel engine: sharded speculative ring searches with a
-// deterministic merge (see the design note in system.h).
-//
-// Phase split. A drain's mutations (ring formation, session churn,
-// counter updates) are inherently ordered, but its *searches* are pure
-// reads of the immutable GraphSnapshot (plus, in Bloom mode, the
-// finder's summaries, which only refresh between drains). So the engine
-// speculates: before the serial drain loop runs, every dirty peer that
-// could search this drain is searched on the worker pool, each worker
-// using its own ExchangeFinder instance (scratch, stats) against the
-// shared snapshot, writing results into per-shard effect queues.
-//
-// Determinism. The merge (the unchanged serial drain) asks
-// ring_candidates() for each search; a speculation is used only when
-// every row in its recorded read set is untouched since the speculation
-// snapshot (touch_seq_ recency, maintained by touch_graph at every
-// mutation site — the same audited contract the snapshot delta path
-// rests on). An untouched read set means a live search now would read
-// exactly the rows the worker read, so the speculated proposals and
-// stat deltas are bit-identical to what serial execution would compute
-// — and anything else falls back to a live search. Shards are
-// contiguous ranges of the ascending worklist, so shard-then-sequence
-// merge order equals worklist order and no result depends on the shard
-// count or on worker scheduling. RNG is untouched: drains draw none.
-//
-// P2PEX_PARALLEL_AUDIT (tsan/asan presets) re-runs every consumed
-// speculation as a live search and asserts proposals and stat deltas
-// match — any read-set under-report fails at the speculation that went
-// stale instead of as downstream replay drift.
-#include <algorithm>
-
+// Parallel sweeps: the O(population) read-only scans behind the periodic
+// sweeps, sharded over the worker pool at >= kParallelSweepMinPeers peers
+// (see the design note in system.h). Ring searches stay serial: every
+// search reads the snapshot rows the previous ring formation wrote.
 #include "core/parallel/shard_map.h"
 #include "core/system.h"
-#include "obs/trace.h"
-#include "util/assert.h"
-#include "util/contracts.h"
 
 namespace p2pex {
-
-void System::sync_worker_finders() {
-  if (!pool_) pool_ = std::make_unique<parallel::WorkerPool>(threads_);
-  while (worker_finders_.size() < threads_)
-    worker_finders_.push_back(std::make_unique<ExchangeFinder>(
-        cfg_.policy, cfg_.max_ring_size, cfg_.tree_mode,
-        cfg_.bloom_hop_budget));
-  for (const auto& f : worker_finders_) {
-    f->sync_with(finder_);  // mid-run policy/mode flips propagate here
-    f->borrow_summaries(finder_);
-    f->set_record_read_sets(true);  // the master finder never records
-  }
-}
-
-void System::speculate_searches() {
-  if (cfg_.policy == ExchangePolicy::kNoExchange) return;
-
-  // Candidates: dirty peers passing the graph-relevant search guards.
-  // The slot guard (can_serve) is left to the merge — slots move during
-  // a drain without touching any row, and a speculation only goes
-  // unused when the merge never asks for it.
-  spec_worklist_.clear();
-  bool any_searchable = false;
-  for (const PeerId p : dirty_) {
-    const Peer& peer = peers_[p.value];
-    if (!peer.online || !peer.shares || peer.pending_list.empty() ||
-        peer.irq.empty())
-      continue;
-    spec_worklist_.push_back(p);
-    if (!any_searchable) any_searchable = upload_capacity_available(peer);
-  }
-
-  // Counter parity: serial execution reads (and patches) the snapshot at
-  // the drain's first live search, which happens iff some candidate
-  // passes the full guards now — nothing that runs before a first search
-  // can change them. No search coming, or a batch too small to amortize
-  // a pool wake: stay serial.
-  if (!any_searchable || spec_worklist_.size() < threads_) {
-    spec_worklist_.clear();
-    return;
-  }
-
-  P2PEX_TRACE_SPAN("drain.speculate", "engine");
-  const GraphSnapshot& snap = graph_snapshot();
-  sync_worker_finders();
-  spec_seq_ = touch_seq_;
-
-  const std::size_t shards = std::min(threads_, spec_worklist_.size());
-  const parallel::ShardMap map(spec_worklist_.size(), shards);
-  shard_effects_.reset(shards);
-  const std::size_t max_candidates = cfg_.max_ring_attempts_per_search;
-  pool_->run(shards, [&](std::size_t s) {
-    // Shard s is claimed by exactly one worker: finder s and queue s
-    // are exclusive to it for the whole phase.
-    P2PEX_TRACE_SPAN("speculate.shard", "engine");
-    ExchangeFinder& f = *worker_finders_[s];
-    const parallel::ShardRange range = map.range(s);
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      // Recycled slot: every field is overwritten (read_set via assign,
-      // which reuses the previous pass's capacity).
-      SearchSpeculation& e = shard_effects_.emplace(s);
-      e.root = spec_worklist_[i];
-      e.consumed = false;
-      const FinderStats before = f.stats();
-      e.proposals = f.find(snap, e.root, max_candidates);
-      e.delta = f.stats() - before;
-      const std::span<const PeerId> rs = f.last_read_set();
-      e.read_set.assign(rs.begin(), rs.end());
-    }
-  });
-
-  // Merge the queues into the per-peer index in shard-then-sequence
-  // order (== ascending worklist order, ShardMap ranges being
-  // contiguous).
-  spec_index_.clear();
-  shard_effects_.merge([&](SearchSpeculation& e) {
-    spec_index_.push_back(&e);
-    spec_slot_[e.root.value] = narrow_u32(spec_index_.size());
-  });
-  ++spec_stats_.passes;
-  spec_stats_.speculated += spec_index_.size();
-}
-
-bool System::speculation_valid(const SearchSpeculation& s) const {
-  if (all_touch_seq_ > spec_seq_) return false;
-  for (const PeerId r : s.read_set)
-    if (last_touch_seq_[r.value] > spec_seq_) return false;
-  return true;
-}
-
-std::vector<RingProposal> System::ring_candidates(PeerId root) {
-  // Read the snapshot exactly where serial execution would (its patch
-  // counters are part of the determinism contract), even when the
-  // speculation below makes the returned view unnecessary.
-  const GraphSnapshot& view = graph_snapshot();
-  if (const std::uint32_t slot = spec_slot_[root.value]; slot != 0) {
-    SearchSpeculation& s = *spec_index_[slot - 1];
-    if (!s.consumed) {
-      s.consumed = true;  // one speculation covers only the first search
-      if (speculation_valid(s)) {
-#ifdef P2PEX_PARALLEL_AUDIT
-        const FinderStats before = finder_.stats();
-        std::vector<RingProposal> live =
-            finder_.find(view, root, cfg_.max_ring_attempts_per_search);
-        P2PEX_ASSERT_MSG(
-            live == s.proposals && finder_.stats() - before == s.delta,
-            "consumed speculation diverged from a live search "
-            "(read set under-reported?)");
-        ++spec_stats_.consumed;
-        hist_search_hops_->record(s.delta.nodes_visited);
-        return live;
-#else
-        finder_.add_stats(s.delta);
-        ++spec_stats_.consumed;
-        // The consumed delta is bit-identical to what a live search
-        // would record (the validity check above), so the histogram
-        // stays thread-invariant.
-        hist_search_hops_->record(s.delta.nodes_visited);
-        return std::move(s.proposals);
-#endif
-      }
-      ++spec_stats_.stale;
-    }
-  }
-  const FinderStats before_live = finder_.stats();
-  std::vector<RingProposal> live =
-      finder_.find(view, root, cfg_.max_ring_attempts_per_search);
-  hist_search_hops_->record(finder_.stats().nodes_visited -
-                            before_live.nodes_visited);
-  return live;
-}
 
 parallel::WorkerPool* System::sweep_pool() {
   if (threads_ <= 1 || peers_.size() < kParallelSweepMinPeers) return nullptr;
@@ -199,19 +38,6 @@ const std::vector<PeerId>& System::scan_peers(PeerPred pred) {
   for (const std::vector<PeerId>& shard : scan_shards_)
     scan_out_.insert(scan_out_.end(), shard.begin(), shard.end());
   return scan_out_;
-}
-
-void System::clear_speculations() {
-  if (spec_index_.empty()) {
-    spec_worklist_.clear();
-    return;
-  }
-  for (const SearchSpeculation* e : spec_index_) {
-    spec_slot_[e->root.value] = 0;
-    if (!e->consumed) ++spec_stats_.unused;
-  }
-  spec_index_.clear();
-  spec_worklist_.clear();
 }
 
 }  // namespace p2pex

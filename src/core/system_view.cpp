@@ -15,10 +15,6 @@
 namespace p2pex {
 
 void System::touch_graph(PeerId p) {
-  // Row-touch recency for speculation validity: unconditional (the
-  // dirty-list stamps below reset on every snapshot read; recency must
-  // survive them).
-  last_touch_seq_[p.value] = ++touch_seq_;
   if (!graph_all_dirty_ &&
       graph_dirty_stamp_[p.value] != graph_dirty_epoch_) {
     graph_dirty_stamp_[p.value] = graph_dirty_epoch_;
@@ -343,12 +339,11 @@ MemoryFootprint System::memory_footprint() const {
     f.graph_bytes += w.capacity() * sizeof(WatchEntry);
   f.graph_bytes +=
       (graph_dirty_stamp_.capacity() + bloom_dirty_stamp_.capacity() +
-       snap_seen_.capacity() + last_touch_seq_.capacity()) *
+       snap_seen_.capacity()) *
       sizeof(std::uint64_t);
   f.graph_bytes += (graph_dirty_.capacity() + bloom_dirty_.capacity() +
                     snap_providers_.capacity()) *
                    sizeof(PeerId);
-  f.graph_bytes += spec_slot_.capacity() * sizeof(std::uint32_t);
   return f;
 }
 

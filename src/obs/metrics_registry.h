@@ -9,7 +9,7 @@
 //    nothing wall-clock-derived or execution-strategy-dependent may
 //    ever land here.
 //  * kTiming — wall-clock figures and execution-strategy telemetry
-//    (speculation pass counts, thread counts, build nanoseconds).
+//    (thread counts, build nanoseconds).
 //    Excluded from `--stable` exports; covered by the repo's existing
 //    `wall-clock-ok` lint convention.
 //

@@ -16,9 +16,9 @@
 //
 //   P2PEX_EXPENSIVE_INVARIANT / P2PEX_EXPENSIVE_INVARIANT_MSG
 //     O(n)-or-worse cross-checks (rescans, shadow recomputation). Only
-//     enabled under the audit options that already gate the runtime
-//     cross-check machinery (P2PEX_SNAPSHOT_AUDIT / P2PEX_PARALLEL_AUDIT,
-//     or P2PEX_EXPENSIVE_CHECKS explicitly).
+//     enabled under the audit option that already gates the runtime
+//     cross-check machinery (P2PEX_SNAPSHOT_AUDIT, or
+//     P2PEX_EXPENSIVE_CHECKS explicitly).
 //
 // All tiers throw AssertionError rather than abort() for the same reason
 // util/assert.h does: property tests assert *on* the assertions, and an
@@ -32,12 +32,11 @@
 #include "util/assert.h"
 
 #if !defined(NDEBUG) || defined(P2PEX_SNAPSHOT_AUDIT) || \
-    defined(P2PEX_PARALLEL_AUDIT) || defined(P2PEX_EXPENSIVE_CHECKS)
+    defined(P2PEX_EXPENSIVE_CHECKS)
 #define P2PEX_INVARIANTS_ENABLED 1
 #endif
 
-#if defined(P2PEX_SNAPSHOT_AUDIT) || defined(P2PEX_PARALLEL_AUDIT) || \
-    defined(P2PEX_EXPENSIVE_CHECKS)
+#if defined(P2PEX_SNAPSHOT_AUDIT) || defined(P2PEX_EXPENSIVE_CHECKS)
 #define P2PEX_EXPENSIVE_INVARIANTS_ENABLED 1
 #endif
 

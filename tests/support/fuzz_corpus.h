@@ -38,10 +38,10 @@ inline constexpr std::uint64_t kPatchFuzzSeeds[] = {51, 52, 53, 55, 58,
 inline constexpr std::uint64_t kScenarioFuzzSeeds[] = {41, 42, 43, 45, 48,
                                                        61, 83};
 
-/// Seeds for the shard-count invariance fuzzer (test_parallel_fuzz.cpp):
+/// Seeds for the thread-count invariance fuzzer (test_parallel_fuzz.cpp):
 /// the same (seed, config) run at K ∈ {1, 2, 3, 8} worker threads must
 /// produce identical snapshots, proposals, counters, finder stats and
-/// metrics — the parallel engine's effect-queue merge contract.
+/// metrics.
 inline constexpr std::uint64_t kParallelFuzzSeeds[] = {71, 72, 73, 75, 78,
                                                        91, 107};
 

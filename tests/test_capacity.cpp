@@ -19,6 +19,7 @@
 #include "core/system.h"
 #include "metrics/report.h"
 #include "support/scenario.h"
+#include "support/system_compare.h"
 #include "util/assert.h"
 #include "util/rng.h"
 #include "util/types.h"
@@ -216,43 +217,64 @@ TEST(MemoryAccounting, HundredThousandPeersUnderBytesPerPeerBudget) {
 // --- parallel sweeps above the sharding threshold -------------------------
 
 // System-scale determinism: the sharded peer scans (search sweeps,
-// eviction, policy flips) only engage at >= 1024 peers, below the
-// populations the rest of the suite runs — so this is the test that
-// actually executes them. The run must be bit-identical at every thread
-// count (threads is an execution knob, never an experiment parameter).
+// eviction, policy flips) and the pooled Bloom summary rebuilds only
+// engage at >= 1024 peers, above the populations most of the suite
+// runs — so this sweeps them over threads 1/2/8 in both tree modes
+// (test_parallel.cpp and test_obs.cpp hold single serial-vs-threaded
+// pairs at the same scale). The run must be bit-identical at every
+// thread count (threads is an execution knob, never an experiment
+// parameter): every deterministic counter, the finder stats, the final
+// snapshot rows, the report, and the deterministic-domain metrics JSON
+// the replay CI byte-compares.
 TEST(ParallelSweeps, RunIsIdenticalAcrossThreadCountsAboveShardingThreshold) {
   ASSERT_EQ(unsetenv("P2PEX_THREADS"), 0);
-  SimConfig base = test::Scenario::small()
-                       .peers(1536)
-                       .duration(400.0)
-                       .build();
-  SystemCounters baseline;
-  std::string baseline_report;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    SimConfig cfg = base;
-    cfg.threads = threads;
-    System system(cfg);
-    system.run();
-    system.check_invariants();
-    const std::string report = format_report(system.metrics());
-    if (threads == 1) {
-      baseline = system.counters();
-      baseline_report = report;
-      // The workload actually exercised the sweeps and the recycler.
-      EXPECT_GT(baseline.requests_issued, 0u);
-      continue;
+  for (const TreeMode mode : {TreeMode::kFullTree, TreeMode::kBloom}) {
+    const SimConfig base =
+        test::Scenario::small().peers(1536).tree(mode).duration(400.0).build();
+    std::unique_ptr<System> serial;
+    SystemCounters serial_counters;
+    FinderStats serial_finder_stats;
+    std::string serial_json;
+    std::string serial_report;
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{8}}) {
+      SimConfig cfg = base;
+      cfg.threads = threads;
+      auto system = std::make_unique<System>(cfg);
+      system->run();
+      system->check_invariants();
+      // Everything compared is captured before any graph_snapshot()
+      // probe: it is a caching read that may patch and bump the
+      // snapshot counters.
+      const SystemCounters counters = system->counters();
+      const FinderStats finder_stats = system->finder_stats();
+      std::string json = system->metrics_registry().to_json(false);
+      std::string report =
+          format_report(system->metrics(), system->counters());
+      if (threads == 1) {
+        // The workload actually exercised the sweeps, the searches and
+        // the recycler.
+        EXPECT_GT(counters.requests_issued, 0u);
+        EXPECT_GT(finder_stats.searches, 0u);
+        serial = std::move(system);
+        serial_counters = counters;
+        serial_finder_stats = finder_stats;
+        serial_json = std::move(json);
+        serial_report = std::move(report);
+        continue;
+      }
+      const std::string what =
+          std::string(mode == TreeMode::kBloom ? "bloom" : "full-tree") +
+          ", threads " + std::to_string(threads);
+      EXPECT_EQ(system->threads(), threads);
+      test::expect_counters_equal(serial_counters, counters, what);
+      EXPECT_EQ(serial_finder_stats, finder_stats) << what;
+      EXPECT_EQ(serial_report, report) << what;
+      EXPECT_EQ(serial_json, json) << what;
+      EXPECT_TRUE(
+          serial->graph_snapshot().rows_equal(system->graph_snapshot()))
+          << what;
     }
-    const SystemCounters& c = system.counters();
-    const std::string what = "threads " + std::to_string(threads);
-    EXPECT_EQ(baseline.requests_issued, c.requests_issued) << what;
-    EXPECT_EQ(baseline.downloads_completed, c.downloads_completed) << what;
-    EXPECT_EQ(baseline.rings_formed, c.rings_formed) << what;
-    EXPECT_EQ(baseline.sessions_started, c.sessions_started) << what;
-    EXPECT_EQ(baseline.preemptions, c.preemptions) << what;
-    EXPECT_EQ(baseline.download_rows_reused, c.download_rows_reused) << what;
-    EXPECT_EQ(baseline.session_rows_reused, c.session_rows_reused) << what;
-    EXPECT_EQ(baseline_report, report) << what;
   }
 }
 

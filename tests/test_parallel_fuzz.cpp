@@ -1,4 +1,5 @@
-// Shard-count invariance fuzzer (the effect-queue merge contract).
+// Thread-count invariance fuzzer (threads is an execution knob, never an
+// experiment parameter).
 //
 // For every corpus seed, one (config, workload) pair — plain closed-loop
 // runs on even seeds, scenario-driven churn/free-ride/flash-crowd runs
@@ -6,9 +7,10 @@
 // at K ∈ {1, 2, 3, 8} worker threads. Every K must produce the same
 // run bit for bit: identical graph snapshots, identical ring proposals
 // from those snapshots, identical system counters, finder stats and
-// metrics report. K = 1 is the serial engine (no speculation), so the
-// suite pins the parallel engine against the serial semantics, not
-// merely against itself.
+// metrics report. These populations sit below the pooled-sweep floor,
+// so the suite pins that no thread count leaks into a small run; the
+// pooled paths are covered at scale by ParallelSweeps in
+// test_capacity.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -146,8 +148,6 @@ TEST_P(ParallelShardInvariance, IdenticalAcrossThreadCounts) {
       baseline_finder_stats = finder_stats_at_end;
       baseline_report = format_report(ref.metrics());
       baseline_proposals = final_proposals(ref);
-      // K = 1 is the serial engine: no speculation may run.
-      EXPECT_EQ(ref.speculation_stats().passes, 0u);
       continue;
     }
 

@@ -3,7 +3,7 @@
 
 Every headline number this repo reproduces is only trustworthy because runs
 replay bit-exactly across thread counts, build types and standard-library
-implementations. The runtime machinery (TSan jobs, P2PEX_PARALLEL_AUDIT,
+implementations. The runtime machinery (TSan jobs, P2PEX_SNAPSHOT_AUDIT,
 replay CI) catches a nondeterminism bug only after a scenario trips it;
 this tool enforces the rules *before* the code runs.
 
