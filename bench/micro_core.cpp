@@ -440,16 +440,19 @@ BENCHMARK(BM_SystemCrashChurn);
 // --- discovery backend queries --------------------------------------------
 //
 // BM_Lookup* measures LookupBackend::query at 10k/100k peers per
-// backend: the oracle reads the truth index, PEX scans the requester's
-// gossip cache (warmed by 30 rounds), the DHT routes a prefix walk per
-// query. Backend construction and population are cached per (kind, n) —
-// google-benchmark re-invokes the function while calibrating, and a
-// 100k-peer PEX warm-up must not re-run each time. wire_bytes_per_query
-// and hops_per_query record the modeled network cost alongside the CPU
-// cost; allocs_per_query is the allocation guard. BM_LookupBackendDhtMiss
-// queries objects nobody published: in an engine run nearly every DHT
-// lookup is one (a request retries unowned objects), and the walk is
-// still priced in full. It must allocate nothing.
+// backend: the oracle reads the truth index, PEX reads one object chain
+// of the requester's gossip cache (warmed by 30 rounds), the DHT routes
+// a prefix walk per query. Backend construction and population are
+// cached per (kind, n) — google-benchmark re-invokes the function while
+// calibrating, and a 100k-peer PEX warm-up must not re-run each time.
+// wire_bytes_per_query and hops_per_query record the modeled network
+// cost alongside the CPU cost; allocs_per_query is the allocation guard. The *Miss variants
+// query objects nobody published: in an engine run nearly every lookup
+// is one (a request retries unowned objects). The DHT walk is still
+// priced in full, PEX reads one empty index chain; neither may allocate.
+// BM_LookupBackendPexTick times one gossip round (every peer exchanges
+// digests with its ring partner) on the warmed 10k-peer cache;
+// allocs_per_round must be 0 once the caches have stopped growing.
 
 /// Everyone online, everyone reachable: query cost with no fault noise.
 class BenchWorld final : public discovery::WorldView {
@@ -477,12 +480,9 @@ constexpr std::size_t kLookupObjects = 2000;
 constexpr std::size_t kProvidersPerObject = 4;
 constexpr std::size_t kPexWarmRounds = 30;
 
-LookupFixture& lookup_fixture(discovery::BackendKind kind, std::size_t n) {
-  static std::map<std::pair<int, std::size_t>, LookupFixture> cache;
-  const auto key = std::make_pair(static_cast<int>(kind), n);
-  auto it = cache.find(key);
-  if (it != cache.end()) return it->second;
-
+/// Builds a backend over `n` peers with kProvidersPerObject owners per
+/// published object; PEX is warmed by kPexWarmRounds gossip rounds.
+LookupFixture make_lookup_fixture(discovery::BackendKind kind, std::size_t n) {
   LookupFixture f;
   f.world = std::make_unique<BenchWorld>(n);
   f.truth = std::make_unique<LookupService>();
@@ -508,7 +508,16 @@ LookupFixture& lookup_fixture(discovery::BackendKind kind, std::size_t n) {
     f.now = static_cast<double>(kPexWarmRounds) * dt;
   }
   (void)f.backend->drain_costs();  // setup traffic is not the measurement
-  return cache.emplace(key, std::move(f)).first->second;
+  return f;
+}
+
+LookupFixture& lookup_fixture(discovery::BackendKind kind, std::size_t n) {
+  static std::map<std::pair<int, std::size_t>, LookupFixture> cache;
+  const auto key = std::make_pair(static_cast<int>(kind), n);
+  auto it = cache.find(key);
+  if (it == cache.end())
+    it = cache.emplace(key, make_lookup_fixture(kind, n)).first;
+  return it->second;
 }
 
 /// `unpublished` queries objects past the published range (no records).
@@ -557,10 +566,43 @@ void BM_LookupBackendDht(benchmark::State& state) {
 void BM_LookupBackendDhtMiss(benchmark::State& state) {
   run_lookup_bench(state, discovery::BackendKind::kDht, true);
 }
+void BM_LookupBackendPexMiss(benchmark::State& state) {
+  run_lookup_bench(state, discovery::BackendKind::kPex, true);
+}
+void BM_LookupBackendPexTick(benchmark::State& state) {
+  // Its own fixture: the rounds advance the caches and the clock, which
+  // the query benches' shared fixture must not see.
+  static std::map<std::size_t, LookupFixture> ticked;
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto it = ticked.find(n);
+  if (it == ticked.end()) {
+    it = ticked.emplace(n, make_lookup_fixture(discovery::BackendKind::kPex, n))
+             .first;
+  }
+  LookupFixture& f = it->second;
+  const SimTime dt = f.backend->tick_interval();
+  const std::uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    f.now += dt;
+    f.backend->tick(f.now);
+  }
+  const std::uint64_t allocs_after =
+      g_alloc_count.load(std::memory_order_relaxed);
+  const discovery::DiscoveryCosts costs = f.backend->drain_costs();
+  const auto iters =
+      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
+  state.counters["wire_bytes_per_round"] =
+      benchmark::Counter(static_cast<double>(costs.wire_bytes) / iters);
+  state.counters["allocs_per_round"] = benchmark::Counter(
+      static_cast<double>(allocs_after - allocs_before) / iters);
+}
 BENCHMARK(BM_LookupBackendOracle)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupBackendPex)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupBackendDht)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_LookupBackendDhtMiss)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_LookupBackendPexMiss)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_LookupBackendPexTick)->Arg(10000)->Unit(benchmark::kMicrosecond);
 
 void BM_RequestTreeBuild(benchmark::State& state) {
   const GraphSnapshot& g =

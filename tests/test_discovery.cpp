@@ -30,6 +30,7 @@
 #include "metrics/report.h"
 #include "support/scenario.h"
 #include "util/assert.h"
+#include "util/contracts.h"
 #include "util/rng.h"
 
 namespace p2pex {
@@ -279,6 +280,252 @@ TEST(PexBackend, PartitionConfinesGossip) {
   for (std::uint32_t q = 4; q < 8; ++q)
     EXPECT_TRUE(pex.query({ObjectId{1}, PeerId{q}, now}).providers.empty())
         << "fact crossed the partition to " << q;
+}
+
+// --- PexBackend against a reference model ---
+//
+// PexBackend keeps each peer's cache in an indexed slot arena (FIFO
+// list, per-object chains, an origin guard on the expiry sweep).
+// NaivePex below is the plain implementation that layout replaced: one
+// FIFO vector per peer, a linear dedupe scan, front erasure on overflow,
+// a full erase_if sweep and a sort on every query. Both run the same
+// random upkeep / gossip / query sequence and must agree on every
+// answer, every age, every cache size and every drained cost.
+
+class NaivePex {
+ public:
+  NaivePex(const DiscoveryConfig& cfg, std::uint64_t seed,
+           const WorldView& world)
+      : cfg_(cfg),
+        world_(world),
+        rng_(seed ^ kPexSeedSalt),
+        own_(world.num_peers()),
+        cache_(world.num_peers()) {}
+
+  void add_owner(ObjectId object, PeerId peer) {
+    std::vector<ObjectId>& own = own_[peer.value];
+    if (std::find(own.begin(), own.end(), object) == own.end())
+      own.push_back(object);
+  }
+  void remove_owner(ObjectId object, PeerId peer) {
+    std::vector<ObjectId>& own = own_[peer.value];
+    const auto it = std::find(own.begin(), own.end(), object);
+    if (it != own.end()) own.erase(it);
+  }
+  void remove_peer(PeerId peer) { own_[peer.value].clear(); }
+
+  void tick(SimTime now) {
+    const std::size_t n = world_.num_peers();
+    if (n < 2) return;
+    ++costs_.gossip_rounds;
+    const std::size_t offset = 1 + rng_.index(n - 1);
+    ++round_;
+    for (std::size_t i = 0; i < n; ++i) {
+      const PeerId a = PeerId::from_index(i);
+      const PeerId b = PeerId::from_index((i + offset) % n);
+      if (!world_.peer_online(a) || !world_.peer_online(b)) continue;
+      if (!world_.peers_reachable(a, b)) continue;
+      const std::size_t sent = send_digest(a, b, now) + send_digest(b, a, now);
+      costs_.wire_bytes += 2 * PexBackend::kMessageBytes +
+                           std::uint64_t{sent} * PexBackend::kEntryBytes;
+    }
+  }
+
+  [[nodiscard]] LookupResult query(const LookupQuery& q) {
+    std::vector<Entry>& cache = cache_[q.requester.value];
+    std::erase_if(cache, [&](const Entry& e) { return expired(e, q.now); });
+    std::vector<Entry> hits;
+    for (const Entry& e : cache)
+      if (e.object == q.object && e.provider != q.requester) hits.push_back(e);
+    std::sort(hits.begin(), hits.end(), [](const Entry& a, const Entry& b) {
+      return a.provider < b.provider;
+    });
+    LookupResult r;
+    for (const Entry& e : hits) {
+      r.providers.push_back(e.provider);
+      r.ages.push_back(q.now - e.origin);
+    }
+    return r;
+  }
+
+  [[nodiscard]] std::size_t cache_size(PeerId peer) const {
+    return cache_[peer.value].size();
+  }
+  [[nodiscard]] std::uint64_t rounds() const { return round_; }
+  [[nodiscard]] DiscoveryCosts drain_costs() {
+    const DiscoveryCosts c = costs_;
+    costs_ = DiscoveryCosts{};
+    return c;
+  }
+
+ private:
+  /// The backend's gossip-stream salt (pex_backend.cpp).
+  static constexpr std::uint64_t kPexSeedSalt = 0x9055170FD16E57ULL;
+
+  struct Entry {
+    ObjectId object;
+    PeerId provider;
+    SimTime origin = 0.0;
+  };
+
+  [[nodiscard]] bool expired(const Entry& e, SimTime now) const {
+    return now - e.origin > cfg_.pex_entry_ttl;
+  }
+
+  std::size_t send_digest(PeerId from, PeerId to, SimTime now) {
+    std::vector<Entry> digest;
+    const std::size_t cap = cfg_.gossip_digest_cap;
+    const std::vector<ObjectId>& own = own_[from.value];
+    if (!own.empty()) {
+      const std::size_t start = static_cast<std::size_t>(round_) % own.size();
+      for (std::size_t j = 0; j < own.size() && digest.size() < cap; ++j)
+        digest.push_back(Entry{own[(start + j) % own.size()], from, now});
+    }
+    const std::vector<Entry>& cache = cache_[from.value];
+    for (auto it = cache.rbegin(); it != cache.rend() && digest.size() < cap;
+         ++it) {
+      if (it->provider == to || expired(*it, now)) continue;
+      digest.push_back(*it);
+    }
+    for (const Entry& e : digest) merge_entry(to, e);
+    return digest.size();
+  }
+
+  void merge_entry(PeerId receiver, const Entry& e) {
+    if (e.provider == receiver) return;
+    std::vector<Entry>& cache = cache_[receiver.value];
+    for (Entry& have : cache) {
+      if (have.object == e.object && have.provider == e.provider) {
+        have.origin = std::max(have.origin, e.origin);
+        return;
+      }
+    }
+    cache.push_back(e);
+    if (cache.size() > cfg_.pex_cache_cap) cache.erase(cache.begin());
+  }
+
+  DiscoveryConfig cfg_;
+  const WorldView& world_;
+  Rng rng_;
+  std::vector<std::vector<ObjectId>> own_;
+  std::vector<std::vector<Entry>> cache_;
+  std::uint64_t round_ = 0;
+  DiscoveryCosts costs_;
+};
+
+enum class PexWorldMode { kAllOnline, kOffline, kPartition };
+
+void assert_same_costs(DiscoveryCosts got, DiscoveryCosts want) {
+  ASSERT_EQ(got.wire_bytes, want.wire_bytes);
+  ASSERT_EQ(got.hops, want.hops);
+  ASSERT_EQ(got.gossip_rounds, want.gossip_rounds);
+}
+
+/// Runs one seeded random sequence of upkeep calls, gossip rounds and
+/// queries through PexBackend and NaivePex side by side.
+void check_pex_against_reference(std::uint64_t seed, std::size_t cache_cap,
+                                 double ttl, PexWorldMode mode) {
+  DiscoveryConfig cfg = pex_config();
+  cfg.pex_cache_cap = cache_cap;
+  cfg.pex_entry_ttl = ttl;
+  constexpr std::uint32_t kPeers = 16;
+  constexpr std::uint32_t kObjects = 120;
+  constexpr int kSteps = 1500;
+  TestWorld world(kPeers);
+  PexBackend pex(cfg, seed, world);
+  NaivePex naive(cfg, seed, world);
+  Rng rng(seed * 1000003u + cache_cap);
+  const auto pick = [&](std::uint32_t n) {
+    return narrow_u32(rng.index(n));
+  };
+
+  // Enough distinct (object, provider) facts to overflow a 256 cache.
+  for (std::uint32_t p = 0; p < kPeers; ++p) {
+    for (int k = 0; k < 20; ++k) {
+      const ObjectId o{pick(kObjects)};
+      pex.add_owner(o, PeerId{p}, 0.0);
+      naive.add_owner(o, PeerId{p});
+    }
+  }
+
+  SimTime now = 0.0;
+  std::size_t hits = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const double u = rng.uniform01();
+    if (u < 0.12) {
+      const ObjectId o{pick(kObjects)};
+      const PeerId p{pick(kPeers)};
+      pex.add_owner(o, p, now);
+      naive.add_owner(o, p);
+    } else if (u < 0.18) {
+      const ObjectId o{pick(kObjects)};
+      const PeerId p{pick(kPeers)};
+      pex.remove_owner(o, p, now);
+      naive.remove_owner(o, p);
+    } else if (u < 0.19) {
+      const PeerId p{pick(kPeers)};
+      pex.remove_peer(p, now);
+      naive.remove_peer(p);
+    } else if (u < 0.30) {
+      if (mode == PexWorldMode::kOffline) {
+        for (std::uint32_t p = 0; p < kPeers; ++p)
+          if (rng.chance(0.2)) world.set_online(PeerId{p}, rng.chance(0.6));
+      } else if (mode == PexWorldMode::kPartition && rng.chance(0.2)) {
+        world.set_split(rng.chance(0.5) ? 1 + pick(kPeers - 1) : 0);
+      }
+      now += cfg.gossip_interval;
+      if (rng.chance(0.03)) now += ttl;  // a quiet spell: everything ages
+      pex.tick(now);
+      naive.tick(now);
+      ASSERT_EQ(pex.rounds(), naive.rounds()) << "step " << step;
+      for (std::uint32_t p = 0; p < kPeers; ++p)
+        ASSERT_EQ(pex.cache_size(PeerId{p}), naive.cache_size(PeerId{p}))
+            << "step " << step << " peer " << p;
+      assert_same_costs(pex.drain_costs(), naive.drain_costs());
+      if (::testing::Test::HasFatalFailure()) return;
+    } else {
+      now += rng.uniform_real(0.0, 1.0);
+      // A tail of never-published objects keeps misses in the mix.
+      const LookupQuery q{ObjectId{pick(kObjects + 20)}, PeerId{pick(kPeers)},
+                          now};
+      const LookupResult got = pex.query(q);
+      const LookupResult want = naive.query(q);
+      SCOPED_TRACE(::testing::Message() << "step " << step << " object "
+                                        << q.object.value << " requester "
+                                        << q.requester.value);
+      ASSERT_EQ(got.providers, want.providers);
+      ASSERT_EQ(got.ages, want.ages);
+      ASSERT_EQ(got.hops, 0u);
+      ASSERT_EQ(got.wire_bytes, 0u);
+      ASSERT_EQ(pex.cache_size(q.requester), naive.cache_size(q.requester));
+      assert_same_costs(pex.drain_costs(), naive.drain_costs());
+      if (::testing::Test::HasFatalFailure()) return;
+      if (!got.providers.empty()) ++hits;
+    }
+  }
+  EXPECT_GT(hits, 0u) << "sequence never exercised a hit";
+}
+
+TEST(PexBackend, IndexedCacheMatchesReferenceModel) {
+  const std::size_t digest_cap = pex_config().gossip_digest_cap;
+  const double interval = pex_config().gossip_interval;
+  std::uint64_t seed = 0;
+  for (const std::size_t cache_cap :
+       {digest_cap, std::size_t{33}, std::size_t{256}, std::size_t{1000}}) {
+    // 4 gossip rounds: entries expire between queries mid-run.
+    for (const double ttl : {4 * interval, 600.0}) {
+      for (const PexWorldMode mode :
+           {PexWorldMode::kAllOnline, PexWorldMode::kOffline,
+            PexWorldMode::kPartition}) {
+        ++seed;
+        SCOPED_TRACE(::testing::Message()
+                     << "cap=" << cache_cap << " ttl=" << ttl
+                     << " mode=" << static_cast<int>(mode) << " seed=" << seed);
+        check_pex_against_reference(seed, cache_cap, ttl, mode);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 // --- DhtBackend ---
